@@ -590,14 +590,16 @@ func (g *codegen) forStmt(s *compile.For) cStmt {
 
 		// Real mode with an installed scheduler (parexec's worker
 		// pool): iterations run on worker forks; the slot frame makes
-		// the per-iteration fork one slice copy.
+		// the per-iteration fork one slice copy into a frame from the
+		// worker's pool.
 		if ip.cfg.Forall != nil {
 			run := func(w *Interp, k int64) error {
-				nf := make([]Value, len(fr))
+				nf := w.getFrame(len(fr))
 				copy(nf, fr)
 				nf[slot] = IntVal(k)
 				w.cdepth = depth
 				c, _, err := runSeq(w, nf, body)
+				w.putFrame(nf)
 				if err == nil && c == ctrlReturn {
 					err = fmt.Errorf("%s: interp: return inside forall is not allowed", pos)
 				}

@@ -260,7 +260,7 @@ function real main() {
 // the goroutine-per-iteration Real mode fuzzDiff skips. A simulated
 // dry run gates the leg: it executes every forall iteration serially
 // under the step budget, so a fuzzer-sized forall is rejected before
-// parexec would allocate its per-iteration output buffers.
+// parexec would size its per-iteration output records.
 func fuzzKernelParallel(t *testing.T, src string) {
 	prog, err := lang.Parse(src)
 	if err != nil {

@@ -150,3 +150,45 @@ func TestSimulatedDeterminism(t *testing.T) {
 		t.Errorf("simulated cycles not deterministic: %d vs %d", a, b)
 	}
 }
+
+// TestCompiledForallReusesFrames: under an installed Forall scheduler
+// the compiled engine gives each iteration a frame from the worker's
+// pool instead of a fresh copy of the enclosing frame, so a long
+// scheduled forall allocates nothing per iteration (the per-iteration
+// copy was 88% of a parallel vecforce run's bytes).
+func TestCompiledForallReusesFrames(t *testing.T) {
+	prog := lang.MustParse(`
+procedure main(int n) {
+  var int a = 1;
+  forall i = 0 to n - 1 {
+    var int x = i * a;
+  }
+}
+`)
+	var ip *Interp
+	var w *Interp
+	ip = New(prog, Config{Forall: func(pos lang.Pos, from, to int64, run func(*Interp, int64) error) error {
+		if w == nil {
+			w = ip.Fork(nil)
+		}
+		for k := from; k <= to; k++ {
+			if err := run(w, k); err != nil {
+				return err
+			}
+		}
+		return nil
+	}})
+	allocs := func(n int64) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := ip.Call("main", IntVal(n)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const iters = 1000
+	small, large := allocs(10), allocs(10+iters)
+	if per := (large - small) / iters; per > 0.01 {
+		t.Errorf("%.3f allocations per scheduled forall iteration (%.0f at 10 iterations, %.0f at %d), want 0",
+			per, small, large, 10+iters)
+	}
+}

@@ -434,7 +434,8 @@ func TestEngineReuse(t *testing.T) {
 // TestForallProfilerRecordsSite: a profiled parallel run reports one
 // site, keyed to the line of the source while loop that strip-mining
 // replaced (line 30 of polyscale.psl), with task and barrier counts
-// matching the engine's own accounting.
+// matching the engine's own accounting. The root goroutine is PE 0, so
+// its row must show iterations and busy time of its own.
 func TestForallProfilerRecordsSite(t *testing.T) {
 	c := compileTestdata(t, "polyscale.psl")
 	const width = 8
@@ -486,5 +487,8 @@ func TestForallProfilerRecordsSite(t *testing.T) {
 	}
 	if tasks != r.Tasks {
 		t.Errorf("per-PE tasks sum %d, site total %d", tasks, r.Tasks)
+	}
+	if pe0 := r.PerPE[0]; pe0.Tasks == 0 || pe0.BusyUS <= 0 {
+		t.Errorf("PE 0 (the root) ran %d tasks, busy %d µs; want both > 0", pe0.Tasks, pe0.BusyUS)
 	}
 }

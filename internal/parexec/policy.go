@@ -11,7 +11,7 @@ import (
 // the X2 ablation (the "simple static scheduling" the paper blames for
 // part of its sublinearity, versus the self-scheduling alternatives it
 // cites). A Policy only chooses the iteration→PE mapping; the engine's
-// deterministic merge (per-iteration output buffers flushed in
+// deterministic merge (per-iteration output segments flushed in
 // iteration order, heap writes disjoint by the dependence test) is
 // identical under every policy, so the bit-identical-to-serial
 // guarantee does not depend on the schedule.
@@ -22,6 +22,10 @@ type Policy interface {
 	// Assign returns the iteration assignment for one forall over the
 	// inclusive range [from, to] executed by pes workers.
 	Assign(from, to int64, pes int) Assignment
+	// fill refills an assignment left over from an earlier forall in
+	// place, so the pool hands out iterations without allocating per
+	// forall. Being unexported, it seals Policy to the built-in three.
+	fill(a *spanAssign, from, to int64, pes int)
 }
 
 // Assignment hands out one forall's iterations to its workers. Worker
@@ -76,6 +80,13 @@ func ParsePolicy(name string, chunk int) (Policy, error) {
 		name, strings.Join(PolicyNames(), ", "))
 }
 
+// newAssign allocates a fresh assignment and fills it (the Assign path).
+func newAssign(p Policy, from, to int64, pes int) Assignment {
+	a := new(spanAssign)
+	p.fill(a, from, to, pes)
+	return a
+}
+
 // ---------------------------------------------------------------------------
 // Static block
 
@@ -83,10 +94,12 @@ type blockPolicy struct{}
 
 func (blockPolicy) Name() string { return "block" }
 
-func (blockPolicy) Assign(from, to int64, pes int) Assignment {
+func (p blockPolicy) Assign(from, to int64, pes int) Assignment { return newAssign(p, from, to, pes) }
+
+func (blockPolicy) fill(a *spanAssign, from, to int64, pes int) {
+	a.reset(pes, 0)
 	n := to - from + 1
 	chunk := (n + int64(pes) - 1) / int64(pes)
-	a := &staticAssign{cur: make([]span, pes)}
 	for pe := range a.cur {
 		lo := from + int64(pe)*chunk
 		hi := lo + chunk
@@ -98,7 +111,6 @@ func (blockPolicy) Assign(from, to int64, pes int) Assignment {
 		}
 		a.cur[pe] = span{lo: lo, hi: hi, stride: 1}
 	}
-	return a
 }
 
 // ---------------------------------------------------------------------------
@@ -108,33 +120,13 @@ type cyclicPolicy struct{}
 
 func (cyclicPolicy) Name() string { return "cyclic" }
 
-func (cyclicPolicy) Assign(from, to int64, pes int) Assignment {
-	a := &staticAssign{cur: make([]span, pes)}
+func (p cyclicPolicy) Assign(from, to int64, pes int) Assignment { return newAssign(p, from, to, pes) }
+
+func (cyclicPolicy) fill(a *spanAssign, from, to int64, pes int) {
+	a.reset(pes, 0)
 	for pe := range a.cur {
 		a.cur[pe] = span{lo: from + int64(pe), hi: to + 1, stride: int64(pes)}
 	}
-	return a
-}
-
-// span is one PE's remaining iterations: lo, lo+stride, ... below hi.
-type span struct {
-	lo, hi, stride int64
-}
-
-// staticAssign serves precomputed per-PE spans; each slot is touched
-// only by its own PE, so no synchronization is needed.
-type staticAssign struct {
-	cur []span
-}
-
-func (a *staticAssign) Next(pe int) (int64, bool) {
-	s := &a.cur[pe]
-	if s.lo >= s.hi {
-		return 0, false
-	}
-	k := s.lo
-	s.lo += s.stride
-	return k, true
 }
 
 // ---------------------------------------------------------------------------
@@ -146,23 +138,50 @@ type dynamicPolicy struct {
 
 func (p dynamicPolicy) Name() string { return "dynamic" }
 
-func (p dynamicPolicy) Assign(from, to int64, pes int) Assignment {
-	return &dynamicAssign{from: from, to: to, chunk: p.chunk, cur: make([]span, pes)}
+func (p dynamicPolicy) Assign(from, to int64, pes int) Assignment { return newAssign(p, from, to, pes) }
+
+func (p dynamicPolicy) fill(a *spanAssign, from, to int64, pes int) {
+	a.reset(pes, p.chunk)
+	a.from, a.to = from, to
 }
 
-// dynamicAssign shares one claim cursor; per-PE spans buffer the chunk
-// each worker is currently draining (each slot touched only by its own
-// PE).
-type dynamicAssign struct {
-	from, to int64
-	chunk    int64
-	next     atomic.Int64 // next unclaimed offset from `from`
+// ---------------------------------------------------------------------------
+// The shared assignment
+
+// span is one PE's remaining iterations: lo, lo+stride, ... below hi.
+type span struct {
+	lo, hi, stride int64
+}
+
+// spanAssign serves per-PE spans. The static policies precompute every
+// span; a dynamic assignment (chunk > 0) starts with empty spans and
+// refills a drained one by claiming the next chunk from a shared
+// cursor, at the cost of one atomic operation per chunk. Each span is
+// touched only by its own PE, so only the cursor is synchronized.
+type spanAssign struct {
 	cur      []span
+	chunk    int64 // > 0: dynamic self-scheduling
+	from, to int64
+	next     atomic.Int64 // dynamic: next unclaimed offset from `from`
 }
 
-func (a *dynamicAssign) Next(pe int) (int64, bool) {
+// reset empties the assignment for pes PEs, reusing its span storage.
+func (a *spanAssign) reset(pes int, chunk int64) {
+	if cap(a.cur) < pes {
+		a.cur = make([]span, pes)
+	}
+	a.cur = a.cur[:pes]
+	clear(a.cur)
+	a.chunk = chunk
+	a.next.Store(0)
+}
+
+func (a *spanAssign) Next(pe int) (int64, bool) {
 	s := &a.cur[pe]
 	if s.lo >= s.hi {
+		if a.chunk == 0 {
+			return 0, false
+		}
 		off := a.next.Add(a.chunk) - a.chunk
 		lo := a.from + off
 		if lo > a.to {
@@ -172,9 +191,9 @@ func (a *dynamicAssign) Next(pe int) (int64, bool) {
 		if hi > a.to+1 {
 			hi = a.to + 1
 		}
-		s.lo, s.hi = lo, hi
+		s.lo, s.hi, s.stride = lo, hi, 1
 	}
 	k := s.lo
-	s.lo++
+	s.lo += s.stride
 	return k, true
 }
